@@ -2,8 +2,8 @@
 //
 // Three measurements, all single-thread (the win is algorithmic):
 //   1. Before/after on E16's verify workload: the flat-scan reference
-//      kernel (pre-index behavior, kept under VerifyOptions::
-//      flat_reference) vs the indexed serial engine.
+//      verifier (pre-index behavior, core::reference_verify) vs the
+//      indexed serial engine.
 //   2. A model-size x unroll-depth sweep (chain task graphs of growing
 //      length drive the unroll budget) comparing the same two paths.
 //   3. The optimize compaction loop: legacy generate-and-test with a
@@ -19,6 +19,7 @@
 #include "core/latency.hpp"
 #include "core/model.hpp"
 #include "core/optimize.hpp"
+#include "core/reference_verify.hpp"
 #include "core/static_schedule.hpp"
 #include "sim/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -158,7 +159,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 // require_feasible, aborts on an infeasible report (the E16 workload is
 // feasible by construction; the sweep cells need not be).
 double time_verify(const std::vector<VerifyCase>& cases, int reps,
-                   bool flat_reference, core::VerifyStats* total,
+                   bool use_reference, core::VerifyStats* total,
                    bool require_feasible = true) {
   const auto t0 = std::chrono::steady_clock::now();
   for (int rep = 0; rep < reps; ++rep) {
@@ -167,8 +168,9 @@ double time_verify(const std::vector<VerifyCase>& cases, int reps,
       core::VerifyOptions options;
       options.n_threads = 1;
       options.stats = &stats;
-      options.flat_reference = flat_reference;
-      const bool feasible = core::verify_schedule(c.schedule, c.model, options).feasible;
+      const bool feasible =
+          use_reference ? core::reference_verify(c.schedule, c.model).feasible
+                        : core::verify_schedule(c.schedule, c.model, options).feasible;
       if (require_feasible && !feasible) {
         std::fprintf(stderr, "verification regressed!\n");
         std::exit(1);
@@ -182,8 +184,6 @@ double time_verify(const std::vector<VerifyCase>& cases, int reps,
 // The pre-change compaction loop: full flat verification per candidate.
 StaticSchedule legacy_compact(const StaticSchedule& sched, const GraphModel& model,
                               std::size_t* removed) {
-  core::VerifyOptions flat;
-  flat.flat_reference = true;
   StaticSchedule current = sched;
   bool changed = true;
   while (changed) {
@@ -199,7 +199,7 @@ StaticSchedule legacy_compact(const StaticSchedule& sched, const GraphModel& mod
           candidate.push_execution(entries[j].elem, entries[j].duration);
         }
       }
-      if (core::verify_schedule(candidate, model, flat).feasible) {
+      if (core::reference_verify(candidate, model).feasible) {
         current = std::move(candidate);
         if (removed) ++*removed;
         changed = true;
@@ -234,9 +234,10 @@ int main() {
   std::size_t total_entries = 0;
   for (const VerifyCase& c : e16) total_entries += c.schedule.entries().size();
   std::printf("# %d E16 cases, %zu schedule entries total\n", kE16Cases, total_entries);
-  const double before_s = time_verify(e16, kE16Reps, /*flat_reference=*/true, nullptr);
+  const double before_s = time_verify(e16, kE16Reps, /*use_reference=*/true, nullptr);
   core::VerifyStats after_stats;
-  const double after_s = time_verify(e16, kE16Reps, /*flat_reference=*/false, &after_stats);
+  const double after_s =
+      time_verify(e16, kE16Reps, /*use_reference=*/false, &after_stats);
   const double verify_speedup = after_s > 0 ? before_s / after_s : 0;
   std::printf("E16 workload: flat %.4fs -> indexed %.4fs (%.2fx); "
               "index_seeks=%zu arena_reuses=%zu\n",

@@ -1,30 +1,25 @@
-// E22 — hot-path ablation: SoA columns, bitset occurrence rows, arena
-// scratch, calibrated cutoff (ISSUE 8).
+// E22 — verify hot path: flat-scan reference vs the production engine.
 //
-// Re-runs E16/E17's verification workload (seed-for-seed) through the
-// rebuilt hot path with each mechanical-sympathy layer enabled
-// cumulatively:
+// Re-runs E16/E17's verification workload (seed-for-seed) through two
+// verifiers:
 //
-//   flat       VerifyOptions::flat_reference (pre-index linear scans)
-//   aos        indexed engine, every HotPathConfig layer off — the
-//              pre-rebuild AoS kernel shape
-//   +soa       structure-of-arrays UnrollIndex columns
-//   +bitset    per-element occurrence rows with word-mask gates
-//   +arena     bump-pointer scratch arena in the kernels
-//   +cutoff    calibrated serial/parallel cutoff, auto thread mode
-//              (on a single-core host this resolves to the serial path;
-//              the row pins that auto never regresses the serial time)
+//   reference  core::reference_verify (linear scans over materialized
+//              unroll_ops, one constraint at a time)
+//   engine     core::verify_schedule, serial (n_threads = 1)
 //
-// Each row is the best of kBatches timed batches (the host is a shared
-// single-core box; min is the noise-robust statistic), and every report
-// is checked against the flat reference before timing starts. Emits
-// BENCH_hotpath.json in the working directory.
+// Each row is the best of kBatches timed batches (min is the
+// noise-robust statistic on a shared host), and every engine report is
+// checked against the reference before timing starts. Emits
+// BENCH_hotpath.json in the working directory, with the host's core
+// count, compiler, build type and the git revision given by --rev.
 //
 // --smoke: quick CI guard — two batches, and exits non-zero unless the
-// fully-enabled engine beats flat_reference by >= 3x (the full run
-// measures ~15-20x; 3x leaves room for sanitizer-free CI hosts of any
-// speed). Wired as the perf_smoke_hotpath ctest, skipped under
-// sanitizers where instrumentation distorts the ratio.
+// engine beats the reference by >= 3x (the full run measures ~20x; 3x
+// leaves room for sanitizer-free CI hosts of any speed). Wired as the
+// perf_smoke_hotpath ctest, skipped under sanitizers where
+// instrumentation distorts the ratio.
+//
+// usage: bench_hotpath [--smoke] [--rev <git revision>]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -35,6 +30,7 @@
 #include "core/heuristic.hpp"
 #include "core/latency.hpp"
 #include "core/model.hpp"
+#include "core/reference_verify.hpp"
 #include "core/static_schedule.hpp"
 #include "sim/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -87,46 +83,27 @@ std::vector<VerifyCase> make_e16_cases(int count) {
   return cases;
 }
 
-struct LayerRow {
-  const char* name;
-  bool flat;  // flat_reference instead of the indexed engine
-  core::HotPathConfig config;
-  std::size_t n_threads;  // 1 = serial; 0 = auto (the cutoff row)
-};
-
 struct Result {
-  const char* name = "";
   double verify_s = 0;
-  double speedup_vs_flat = 0;
-  double speedup_vs_aos = 0;
-  std::size_t index_seeks = 0;
-  std::size_t bitset_skips = 0;
-  std::size_t arena_reuses = 0;
-  std::size_t arena_bytes_peak = 0;
+  core::VerifyStats counters;  // summed over one pass of the cases
 };
 
-double run_batch(const std::vector<VerifyCase>& cases, const LayerRow& layer,
-                 int reps, core::VerifyStats* totals) {
+// Times `reps` passes over the cases; `engine` selects verify_schedule
+// (serial) over reference_verify. Fills `totals` from the first pass.
+double run_batch(const std::vector<VerifyCase>& cases, bool engine, int reps,
+                 core::VerifyStats* totals) {
   const auto t0 = std::chrono::steady_clock::now();
   for (int rep = 0; rep < reps; ++rep) {
     for (const VerifyCase& c : cases) {
       core::VerifyStats stats;
-      core::VerifyOptions options;
-      options.n_threads = layer.n_threads;
-      options.stats = &stats;
-      options.flat_reference = layer.flat;
-      const auto report = core::verify_schedule(c.schedule, c.model, options);
+      const core::VerifyOptions options{.n_threads = 1, .stats = &stats};
+      const auto report = engine ? core::verify_schedule(c.schedule, c.model, options)
+                                 : core::reference_verify(c.schedule, c.model);
       if (!report.feasible) {
-        std::fprintf(stderr, "verification regressed under %s!\n", layer.name);
+        std::fprintf(stderr, "verification regressed!\n");
         std::exit(1);
       }
-      if (totals != nullptr && rep == 0) {
-        totals->index_seeks += stats.index_seeks;
-        totals->bitset_skips += stats.bitset_skips;
-        totals->arena_reuses += stats.arena_reuses;
-        totals->arena_bytes_peak =
-            std::max(totals->arena_bytes_peak, stats.arena_bytes_peak);
-      }
+      if (totals != nullptr && rep == 0) *totals += stats;
     }
   }
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -136,79 +113,54 @@ double run_batch(const std::vector<VerifyCase>& cases, const LayerRow& layer,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  bool smoke = false;
+  std::string rev = "unknown";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--rev") == 0 && i + 1 < argc) {
+      rev = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: bench_hotpath [--smoke] [--rev <git revision>]\n");
+      return 2;
+    }
+  }
   const int kVerifyCases = 12;
   const int kReps = smoke ? 4 : 10;
   const int kBatches = smoke ? 2 : 3;
 
-  const LayerRow layers[] = {
-      {"flat", true, {}, 1},
-      {"aos",
-       false,
-       {.soa = false, .bitset = false, .arena = false, .calibrate = false},
-       1},
-      {"+soa", false, {.bitset = false, .arena = false, .calibrate = false}, 1},
-      {"+bitset", false, {.arena = false, .calibrate = false}, 1},
-      {"+arena", false, {.calibrate = false}, 1},
-      {"+cutoff", false, {}, 0},
-  };
-
   const auto cases = make_e16_cases(kVerifyCases);
 
-  // Correctness gate before any timing: every layer must reproduce the
-  // flat reference bit-for-bit.
-  const core::HotPathConfig saved = core::hotpath_config();
+  // Correctness gate before any timing: the engine must reproduce the
+  // reference bit-for-bit.
   for (const VerifyCase& c : cases) {
-    core::VerifyOptions flat_options;
-    flat_options.flat_reference = true;
-    const auto want = core::verify_schedule(c.schedule, c.model, flat_options);
-    for (const LayerRow& layer : layers) {
-      core::hotpath_config() = layer.config;
-      core::VerifyOptions options;
-      options.n_threads = layer.n_threads;
-      options.flat_reference = layer.flat;
-      if (!(core::verify_schedule(c.schedule, c.model, options) == want)) {
-        std::fprintf(stderr, "layer %s is not bit-identical to flat!\n",
-                     layer.name);
-        return 1;
-      }
+    if (!(core::verify_schedule(c.schedule, c.model,
+                                core::VerifyOptions{.n_threads = 1}) ==
+          core::reference_verify(c.schedule, c.model))) {
+      std::fprintf(stderr, "engine is not bit-identical to the reference!\n");
+      return 1;
     }
   }
 
-  std::printf("# E22: hot-path ablation (hardware_concurrency = %zu, "
-              "cutoff = %zu work units)\n",
-              rtg::util::resolve_threads(0), core::serial_parallel_cutoff());
-  std::printf("%10s %12s %10s %10s %12s %12s %10s %10s\n", "layer", "verify[s]",
-              "vs flat", "vs aos", "seeks", "bit_skips", "arena", "peak[B]");
+  const std::size_t cores = rtg::util::resolve_threads(0);
+  std::printf("# E22: verify hot path (hardware_concurrency = %zu)\n", cores);
+  std::printf("%10s %12s %10s %12s %12s %12s\n", "verifier", "verify[s]", "speedup",
+              "seeks", "gate_skips", "warm_queries");
 
-  std::vector<Result> results;
-  for (const LayerRow& layer : layers) {
-    core::hotpath_config() = layer.config;
-    core::VerifyStats totals;
-    Result r;
-    r.name = layer.name;
-    r.verify_s = run_batch(cases, layer, kReps, &totals);  // warm + counters
+  const char* const names[] = {"reference", "engine"};
+  Result results[2];
+  for (int i = 0; i < 2; ++i) {
+    Result& r = results[i];
+    const bool engine = i == 1;
+    r.verify_s = run_batch(cases, engine, kReps, &r.counters);  // warm + counters
     for (int b = 1; b < kBatches; ++b) {
-      r.verify_s = std::min(r.verify_s, run_batch(cases, layer, kReps, nullptr));
+      r.verify_s = std::min(r.verify_s, run_batch(cases, engine, kReps, nullptr));
     }
-    r.index_seeks = totals.index_seeks;
-    r.bitset_skips = totals.bitset_skips;
-    r.arena_reuses = totals.arena_reuses;
-    r.arena_bytes_peak = totals.arena_bytes_peak;
-    if (!results.empty()) {
-      r.speedup_vs_flat = results.front().verify_s / r.verify_s;
-      if (results.size() >= 2) {
-        r.speedup_vs_aos = results[1].verify_s / r.verify_s;
-      }
-    } else {
-      r.speedup_vs_flat = 1.0;
-    }
-    std::printf("%10s %12.4f %10.2f %10.2f %12zu %12zu %10zu %10zu\n", r.name,
-                r.verify_s, r.speedup_vs_flat, r.speedup_vs_aos, r.index_seeks,
-                r.bitset_skips, r.arena_reuses, r.arena_bytes_peak);
-    results.push_back(r);
+    std::printf("%10s %12.4f %10.2f %12zu %12zu %12zu\n", names[i], r.verify_s,
+                results[0].verify_s / r.verify_s, r.counters.index_seeks,
+                r.counters.bitset_skips, r.counters.arena_reuses);
   }
-  core::hotpath_config() = saved;
+  const double ratio = results[0].verify_s / results[1].verify_s;
 
   if (!smoke) {
     std::FILE* out = std::fopen("BENCH_hotpath.json", "w");
@@ -216,40 +168,34 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write BENCH_hotpath.json\n");
       return 1;
     }
-    std::fprintf(out, "{\n  \"experiment\": \"E22_hotpath_ablation\",\n");
-    std::fprintf(out, "  \"hardware_concurrency\": %zu,\n",
-                 rtg::util::resolve_threads(0));
-    std::fprintf(out, "  \"serial_parallel_cutoff\": %zu,\n",
-                 core::serial_parallel_cutoff());
+    std::fprintf(out, "{\n  \"experiment\": \"E22_hotpath\",\n");
+    std::fprintf(out,
+                 "  \"host\": {\"nproc\": %zu, \"compiler\": \"g++ %s\", "
+                 "\"build_type\": \"%s\", \"rev\": \"%s\"},\n",
+                 cores, __VERSION__, RTG_BUILD_TYPE, rev.c_str());
     std::fprintf(out,
                  "  \"workload\": \"E16 verify cases x %d reps, best of %d "
-                 "batches, serial unless noted\",\n",
+                 "batches, serial\",\n",
                  kReps, kBatches);
-    std::fprintf(out, "  \"rows\": [\n");
-    for (std::size_t i = 0; i < results.size(); ++i) {
+    std::fprintf(out, "  \"speedup\": %.2f,\n  \"rows\": [\n", ratio);
+    for (int i = 0; i < 2; ++i) {
       const Result& r = results[i];
       std::fprintf(out,
-                   "    {\"layer\": \"%s\", \"verify_s\": %.6f, "
-                   "\"speedup_vs_flat\": %.2f, \"speedup_vs_aos\": %.2f, "
+                   "    {\"verifier\": \"%s\", \"verify_s\": %.6f, "
                    "\"index_seeks\": %zu, \"bitset_skips\": %zu, "
-                   "\"arena_reuses\": %zu, \"arena_bytes_peak\": %zu}%s\n",
-                   r.name, r.verify_s, r.speedup_vs_flat, r.speedup_vs_aos,
-                   r.index_seeks, r.bitset_skips, r.arena_reuses,
-                   r.arena_bytes_peak, i + 1 < results.size() ? "," : "");
+                   "\"arena_reuses\": %zu}%s\n",
+                   names[i], r.verify_s, r.counters.index_seeks, r.counters.bitset_skips,
+                   r.counters.arena_reuses, i == 0 ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);
     std::printf("# wrote BENCH_hotpath.json\n");
   }
 
-  // Smoke gate: the fully-enabled serial engine (the +arena row — the
-  // last serial configuration) must beat flat by a wide margin.
-  const double indexed_s = results[results.size() - 2].verify_s;
-  const double ratio = results.front().verify_s / indexed_s;
   if (smoke) {
-    std::printf("# smoke: indexed %.2fx over flat (gate: >= 3x)\n", ratio);
+    std::printf("# smoke: engine %.2fx over reference (gate: >= 3x)\n", ratio);
     if (ratio < 3.0) {
-      std::fprintf(stderr, "perf smoke FAILED: indexed only %.2fx over flat\n",
+      std::fprintf(stderr, "perf smoke FAILED: engine only %.2fx over reference\n",
                    ratio);
       return 1;
     }

@@ -119,8 +119,9 @@ int usage() {
                "  --threads N   worker threads for verification and the exact\n"
                "                search (0 = hardware concurrency, 1 = serial)\n"
                "  --stats       with --verify or --map: print the engine\n"
-               "                counters (queries, memo hits, seeks, bitset\n"
-               "                skips, arena peak, threads; seam windows)\n"
+               "                counters (queries, memo hits, seeks, row-gate\n"
+               "                skips, warm-kernel queries, threads; seam\n"
+               "                windows)\n"
                "  --emit-trace  capture the synthesized schedule's execution\n"
                "                trace to a binary .rtt file (replay with\n"
                "                trace_replay)\n"
@@ -746,27 +747,28 @@ int run(int argc, char** argv) {
         core::verify_schedule(*parsed.schedule, pipelined, verify_options);
     for (const core::ConstraintVerdict& v : report.verdicts) {
       const core::TimingConstraint& c = pipelined.constraint(v.constraint);
-      if (v.latency) {
-        std::printf("# %s: latency %lld / deadline %lld -> %s\n", c.name.c_str(),
-                    static_cast<long long>(*v.latency),
-                    static_cast<long long>(c.deadline), v.satisfied ? "ok" : "MISS");
-      } else {
+      if (c.periodic()) {
         std::printf("# %s: periodic windows -> %s\n", c.name.c_str(),
+                    v.satisfied ? "ok" : "MISS");
+      } else {
+        // An infinite latency (some element of the task graph never
+        // runs) has no value to print.
+        const std::string latency = v.latency ? std::to_string(*v.latency) : "inf";
+        std::printf("# %s: latency %s / deadline %lld -> %s\n", c.name.c_str(),
+                    latency.c_str(), static_cast<long long>(c.deadline),
                     v.satisfied ? "ok" : "MISS");
       }
     }
     if (want_stats) {
       std::printf(
           "# stats: work_units=%llu queries=%llu memo_hits=%llu seeks=%llu\n"
-          "# stats: bitset_skips=%llu arena_reuses=%llu arena_bytes_peak=%llu "
-          "threads=%llu\n",
+          "# stats: bitset_skips=%llu arena_reuses=%llu threads=%llu\n",
           static_cast<unsigned long long>(stats.work_units),
           static_cast<unsigned long long>(stats.embedding_queries),
           static_cast<unsigned long long>(stats.memo_hits),
           static_cast<unsigned long long>(stats.index_seeks),
           static_cast<unsigned long long>(stats.bitset_skips),
           static_cast<unsigned long long>(stats.arena_reuses),
-          static_cast<unsigned long long>(stats.arena_bytes_peak),
           static_cast<unsigned long long>(stats.threads_used));
     }
     std::printf("# verdict: %s\n", report.feasible ? "FEASIBLE" : "INFEASIBLE");

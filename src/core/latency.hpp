@@ -26,37 +26,14 @@
 
 #include "core/model.hpp"
 #include "core/static_schedule.hpp"
-#include "util/arena.hpp"
 
 namespace rtg::core {
 
-/// Process-wide hot-path layer toggles (E22 ablation). Defaults are the
-/// fully optimized configuration; bench_hotpath and the ablation tests
-/// flip layers off one at a time to attribute the speedup. The flags
-/// are captured when an UnrollIndex / EmbeddingKernel / verify plan is
-/// *built*, so flip them only between verifications, never mid-query,
-/// and only from one thread (bench/test usage — production code leaves
-/// the defaults alone).
-struct HotPathConfig {
-  /// Structure-of-arrays index columns + pooled plan / query tables.
-  bool soa = true;
-  /// Per-element occurrence bitset rows + row gates before binary search.
-  bool bitset = true;
-  /// Bump-arena kernel scratch instead of per-kernel std::vectors.
-  bool arena = true;
-  /// Measured serial/parallel cutoff instead of the fixed constant.
-  bool calibrate = true;
-};
-
-[[nodiscard]] HotPathConfig& hotpath_config();
-
 /// Work-unit count below which auto-mode (n_threads == 0) verification
-/// stays serial. Resolution order, cached per process on first use:
-/// the RTG_SERIAL_CUTOFF environment variable if set; otherwise a
-/// one-shot calibration that measures the per-unit cost of a canned
-/// serial verify against the cost of spawning a thread pool and picks
-/// the crossover; a fixed fallback (256) when HotPathConfig::calibrate
-/// is off. See docs/PERF.md.
+/// stays serial. Measured once per process on first use: a one-shot
+/// calibration times the per-unit cost of a canned serial verify
+/// against the cost of spawning a thread pool and picks the crossover.
+/// See docs/PERF.md.
 [[nodiscard]] std::size_t serial_parallel_cutoff();
 
 /// The calibration probe behind serial_parallel_cutoff(), uncached:
@@ -107,13 +84,12 @@ struct EmbeddingWitness {
 /// against this view are valid positions into the public unrolled-op
 /// sequence.
 ///
-/// Layout (ISSUE 8): the base period is stored as parallel columns
-/// (start / duration / element) so the binary searches walk one
-/// contiguous Time column; per-element occurrence rows carry their own
-/// contiguous start column plus a bitset row (one uint64_t word per 64
-/// base ops) whose gates and masks resolve the common probes — window
-/// at or before the row's first start, wrap past its last, next
-/// occurrence within the same word — before any binary search is paid.
+/// Layout: the base period is stored as parallel columns (start /
+/// duration / element); per-element occurrence rows (CSR over base
+/// positions) carry their own contiguous start column for the binary
+/// searches, and two row gates — window at or before the row's first
+/// start, wrap past its last — resolve the common probes before any
+/// binary search is paid.
 class UnrollIndex {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -141,15 +117,9 @@ class UnrollIndex {
 
   /// Column accessors for the base-period op at base index `idx`
   /// (idx < ops_per_period()).
-  [[nodiscard]] Time base_start(std::size_t idx) const {
-    return aos_.empty() ? starts_[idx] : aos_[idx].start;
-  }
-  [[nodiscard]] Time base_duration(std::size_t idx) const {
-    return aos_.empty() ? durations_[idx] : aos_[idx].duration;
-  }
-  [[nodiscard]] ElementId base_elem(std::size_t idx) const {
-    return aos_.empty() ? elems_[idx] : aos_[idx].elem;
-  }
+  [[nodiscard]] Time base_start(std::size_t idx) const { return starts_[idx]; }
+  [[nodiscard]] Time base_duration(std::size_t idx) const { return durations_[idx]; }
+  [[nodiscard]] ElementId base_elem(std::size_t idx) const { return elems_[idx]; }
   /// The base-period op at base index `idx`, assembled from the columns.
   [[nodiscard]] ScheduledOp base_op(std::size_t idx) const {
     return ScheduledOp{base_elem(idx), base_start(idx), base_duration(idx)};
@@ -170,29 +140,15 @@ class UnrollIndex {
                                               std::size_t* row_skips = nullptr) const;
 
   /// Global index of the next execution (start order) of the same
-  /// element as op `idx`, below `limit`; npos when exhausted.
+  /// element as op `idx`, below `limit`; npos when exhausted. O(1) via
+  /// the op's occurrence rank.
   [[nodiscard]] std::size_t next_occurrence(std::size_t idx, std::size_t limit) const;
 
-  /// True iff some execution of `e` in the cyclic extension starts in
-  /// [a, b). Resolved from the occurrence bitset row: the window maps
-  /// to a base-position range via the shared contiguous start column,
-  /// then the element's row words are mask-tested — no per-element
-  /// binary search. (Periods-horizon agnostic: answers over the
-  /// infinite cyclic trace.)
-  [[nodiscard]] bool occupied_in(ElementId e, Time a, Time b) const;
-
  private:
-  [[nodiscard]] std::size_t search_row(std::size_t row_begin, std::size_t row_end,
-                                       Time rel) const;
-  [[nodiscard]] bool row_has_start_in(std::size_t bucket, Time x, Time y) const;
-
   // SoA columns of one period, sorted by start (idle entries dropped).
   std::vector<Time> starts_;
   std::vector<Time> durations_;
   std::vector<ElementId> elems_;
-  // Ablation only (HotPathConfig::soa == false): the legacy AoS copy;
-  // when non-empty, searches and accessors take the indirect path.
-  std::vector<ScheduledOp> aos_;
 
   Time period_ = 0;
   std::size_t periods_ = 0;
@@ -204,12 +160,6 @@ class UnrollIndex {
   std::vector<std::size_t> occ_idx_;      // base indices
   std::vector<Time> occ_starts_;          // starts_[occ_idx_[i]]
   std::vector<std::size_t> occ_rank_;     // per base op: rank within its row
-
-  // Occurrence bitset rows: bit p of element e's row is set iff base op
-  // p executes e. Empty when HotPathConfig::bitset is off.
-  std::size_t words_per_row_ = 0;
-  std::vector<std::uint64_t> bits_;
-  bool bitset_ = true;  // captured from hotpath_config() at build time
 };
 
 /// Counters of one EmbeddingKernel; merged into VerifyStats.
@@ -218,10 +168,11 @@ struct KernelCounters {
   std::size_t queries = 0;
   /// Index probes (first_at_or_after + next_occurrence calls).
   std::size_t index_seeks = 0;
-  /// Queries that reused the kernel's scratch arena (no allocation).
+  /// Queries answered on a warm kernel (every query after its first;
+  /// the scratch is already sized, so nothing is allocated).
   std::size_t arena_reuses = 0;
-  /// Index seeks the occurrence-row bitset/metadata resolved without
-  /// paying a binary search (first-/last-start gates).
+  /// Index seeks the occurrence-row gates (first start / past last
+  /// start) resolved without paying a binary search.
   std::size_t bitset_skips = 0;
 
   KernelCounters& operator+=(const KernelCounters& o) {
@@ -238,10 +189,8 @@ struct KernelCounters {
 /// begins. Per query each task-graph op costs O(log occurrences) index
 /// seeks over *its element's* executions only, instead of a linear scan
 /// over every unrolled op. The topological order and all per-query
-/// buffers (finish/chosen/used/witness) live in a bump arena — a shared
-/// one handed in by the verify engines (kernels of one worker reuse the
-/// same warm blocks) or a kernel-private one — so repeated window
-/// queries allocate nothing.
+/// buffers (finish/chosen/used/witness) are sized once per kernel, so
+/// repeated window queries allocate nothing.
 ///
 /// Results are bit-identical to the flat-scan reference
 /// (find_earliest_embedding over unroll_ops(sched, k)): both kernels
@@ -251,12 +200,10 @@ struct KernelCounters {
 class EmbeddingKernel {
  public:
   /// Binds `tg` to `index`. Queries see only the first `periods_limit`
-  /// periods of the index (0 = all of it). Scratch comes from `arena`
-  /// when given (it must outlive the kernel and not be reset while the
-  /// kernel is alive), else from a kernel-private arena. Both referents
-  /// must outlive the kernel.
+  /// periods of the index (0 = all of it). Both referents must outlive
+  /// the kernel.
   EmbeddingKernel(const TaskGraph& tg, const UnrollIndex& index,
-                  std::size_t periods_limit = 0, util::Arena* arena = nullptr);
+                  std::size_t periods_limit = 0);
 
   EmbeddingKernel(const EmbeddingKernel&) = delete;
   EmbeddingKernel& operator=(const EmbeddingKernel&) = delete;
@@ -279,9 +226,7 @@ class EmbeddingKernel {
 
   // BnB availability bitset over the visible op prefix, one bit per
   // global index. Backtracking restores every set bit, so the words
-  // stay all-zero between queries — the reset the old vector<bool>
-  // scratch paid per kernel is now a single zero-fill at first use,
-  // 64x smaller and usually on warm arena memory.
+  // stay all-zero between queries: one zero-fill at first use.
   [[nodiscard]] bool used_test(std::size_t idx) const {
     return (used_words_[idx >> 6] >> (idx & 63)) & 1u;
   }
@@ -310,22 +255,11 @@ class EmbeddingKernel {
   };
   void seed_hint(SeekHint& h, ElementId e, Time ready);
 
-  // Scratch, arena-backed (raw pointers into arena_) in the default
-  // configuration; the *_vec_ members back the pointers instead when
-  // HotPathConfig::arena is off (ablation).
-  util::Arena own_arena_;
-  util::Arena* arena_ = nullptr;  // null = legacy vector scratch
-  Time* finish_ = nullptr;                  // per task-graph op
-  std::size_t* chosen_ = nullptr;           // per task-graph op, current path
-  std::size_t* best_assignment_ = nullptr;  // per task-graph op, best path
-  SeekHint* hint_ = nullptr;                // per task-graph op
-  std::uint64_t* used_words_ = nullptr;     // BnB only, lazily sized
-  std::size_t used_words_len_ = 0;
-  std::vector<Time> finish_vec_;
-  std::vector<std::size_t> chosen_vec_;
-  std::vector<std::size_t> best_vec_;
-  std::vector<SeekHint> hint_vec_;
-  std::vector<std::uint64_t> used_vec_;
+  std::vector<Time> finish_;                  // per task-graph op
+  std::vector<std::size_t> chosen_;           // per task-graph op, current path
+  std::vector<std::size_t> best_assignment_;  // per task-graph op, best path
+  std::vector<SeekHint> hint_;                // per task-graph op
+  std::vector<std::uint64_t> used_words_;     // BnB only, lazily sized
 
   Time last_begin_ = 0;
   bool hints_primed_ = false;
@@ -395,8 +329,7 @@ struct FeasibilityReport {
 
 /// Counters filled by the verification engine. Serial and parallel
 /// paths both deduplicate identical (task graph, span, window-begin)
-/// queries, so memo_hits can be non-zero at every thread count; the
-/// flat-scan reference path leaves everything but threads_used zero.
+/// queries, so memo_hits can be non-zero at every thread count.
 struct VerifyStats {
   /// Embedding queries actually computed (memo misses).
   std::size_t embedding_queries = 0;
@@ -408,13 +341,13 @@ struct VerifyStats {
   std::size_t index_seeks = 0;
   /// Windows answered from an IncrementalVerifier witness cache.
   std::size_t incremental_hits = 0;
-  /// Kernel queries that reused a warm scratch arena (no allocation).
+  /// Kernel queries answered on a warm kernel, i.e. with its scratch
+  /// already sized (KernelCounters::arena_reuses, summed).
   std::size_t arena_reuses = 0;
-  /// Index seeks resolved by an occurrence-row bitset/metadata gate
-  /// without a binary search (summed across kernels and threads).
+  /// Index seeks resolved by an occurrence-row gate (first start / past
+  /// last start) without a binary search (summed across kernels and
+  /// threads).
   std::size_t bitset_skips = 0;
-  /// High-water mark of live scratch-arena bytes, maxed across workers.
-  std::size_t arena_bytes_peak = 0;
   /// Worker threads the engine actually ran with (1 = serial path,
   /// including the auto mode's small-work / single-core fallback).
   std::size_t threads_used = 0;
@@ -427,7 +360,6 @@ struct VerifyStats {
     incremental_hits += other.incremental_hits;
     arena_reuses += other.arena_reuses;
     bitset_skips += other.bitset_skips;
-    arena_bytes_peak = std::max(arena_bytes_peak, other.arena_bytes_peak);
     threads_used = std::max(threads_used, other.threads_used);
     return *this;
   }
@@ -442,10 +374,6 @@ struct VerifyOptions {
   std::size_t n_threads = 0;
   /// Optional engine counters.
   VerifyStats* stats = nullptr;
-  /// Testing-only: run the pre-index flat-scan serial verifier (linear
-  /// scans over materialized unroll_ops). Pins the legacy behavior for
-  /// the differential suite; n_threads is ignored.
-  bool flat_reference = false;
   /// Cooperative cancellation: when non-null and set, the engine stops
   /// at the next query boundary and returns a report with
   /// cancelled = true (and no verdicts). The service layer points this

@@ -6,6 +6,7 @@
 #include "core/heuristic.hpp"
 #include "core/latency.hpp"
 #include "core/pipeline.hpp"
+#include "core/reference_verify.hpp"
 #include "core/synthesis.hpp"
 #include "rt/analysis.hpp"
 #include "spec/compile.hpp"
@@ -62,11 +63,9 @@ void check_verifier_stack(const StaticSchedule& sched, const GraphModel& model,
                                std::to_string(n) + ") diverged from reference");
     }
   }
-  core::VerifyOptions flat;
-  flat.flat_reference = true;
-  if (!(core::verify_schedule(sched, model, flat) == reference)) {
+  if (!(core::reference_verify(sched, model) == reference)) {
     row.violations.push_back(std::string(what) +
-                             ": flat_reference verifier diverged from reference");
+                             ": flat-scan reference_verify diverged from reference");
   }
 
   if (!options.run_incremental) return;

@@ -1,16 +1,15 @@
-// Hot-path rebuild safety net (ISSUE 8).
+// Verify hot-path safety net.
 //
-//   * Ablation bit-identity: verification must produce identical
-//     reports with every HotPathConfig layer (SoA columns, bitset
-//     occurrence rows, arena scratch, calibrated cutoff) switched off —
-//     the layers are pure mechanical-sympathy rearrangements;
-//   * Corpus slice: a 64-seed slice of the PR 7 corpus verified with
-//     flat_reference on/off must agree on every FeasibilityReport,
-//     witness, and chained report fingerprint;
-//   * UnrollIndex bitset property: the occurrence-row answers
-//     (gate-resolved first_at_or_after, same-word next_occurrence,
-//     occupied_in word masks) must coincide with brute force over the
-//     materialized unroll;
+//   * Reference bit-identity: on random models with repeated labels the
+//     engine must reproduce the flat-scan reference_verify report at 1
+//     and 2 threads;
+//   * Corpus slice: a 64-seed slice of the scenario corpus verified by
+//     reference_verify and the engine must agree on every
+//     FeasibilityReport, witness, and chained report fingerprint, and
+//     the serial engine's counters are pinned by a chained fingerprint;
+//   * UnrollIndex row property: the occurrence-row answers
+//     (gate-resolved first_at_or_after, rank-based next_occurrence)
+//     must coincide with brute force over the materialized unroll;
 //   * Counter pins: on BnB (repeated-label) workloads the per-query
 //     seek sequence is partition-independent, so bitset_skips and
 //     index_seeks must be identical at 1/2/4 threads;
@@ -31,6 +30,7 @@
 #include "core/heuristic.hpp"
 #include "core/latency.hpp"
 #include "core/model.hpp"
+#include "core/reference_verify.hpp"
 #include "core/static_schedule.hpp"
 #include "gen/generator.hpp"
 #include "graph/generators.hpp"
@@ -38,19 +38,6 @@
 
 namespace rtg::core {
 namespace {
-
-// Restores the process-wide ablation toggles on scope exit so a failing
-// assertion cannot leak a degraded configuration into other tests.
-class ConfigGuard {
- public:
-  ConfigGuard() : saved_(hotpath_config()) {}
-  ~ConfigGuard() { hotpath_config() = saved_; }
-  ConfigGuard(const ConfigGuard&) = delete;
-  ConfigGuard& operator=(const ConfigGuard&) = delete;
-
- private:
-  HotPathConfig saved_;
-};
 
 graph::Digraph random_digraph(sim::Rng& rng) {
   switch (rng.uniform(0, 3)) {
@@ -141,56 +128,44 @@ std::string report_text(const FeasibilityReport& report) {
   return out.str();
 }
 
+std::string stats_text(const VerifyStats& stats) {
+  std::ostringstream out;
+  out << stats.work_units << ',' << stats.embedding_queries << ',' << stats.memo_hits
+      << ',' << stats.index_seeks << ',' << stats.bitset_skips << ','
+      << stats.arena_reuses << ';';
+  return out.str();
+}
+
 // ---------------------------------------------------------------------------
-// Ablation bit-identity: every layer off, singly and jointly.
+// Reference bit-identity at 1 and 2 threads.
 
 TEST(HotPathAblation, EveryLayerConfigurationIsBitIdentical) {
-  // all-on, each layer off alone, all-off (the pre-PR indexed shape).
-  const HotPathConfig configs[] = {
-      {},
-      {.soa = false},
-      {.bitset = false},
-      {.arena = false},
-      {.calibrate = false},
-      {.soa = false, .bitset = false, .arena = false, .calibrate = false},
-  };
-  ConfigGuard guard;
   sim::Rng rng(0x10CA1);
   for (int i = 0; i < 60; ++i) {
     const GraphModel model = random_model(rng);
     const StaticSchedule sched = random_schedule(rng, model);
-
-    hotpath_config() = HotPathConfig{};
-    VerifyOptions flat_options;
-    flat_options.flat_reference = true;
-    const FeasibilityReport reference = verify_schedule(sched, model, flat_options);
-
-    for (const HotPathConfig& config : configs) {
-      hotpath_config() = config;
-      for (const std::size_t n_threads : {1, 2}) {
-        VerifyStats stats;
-        VerifyOptions options;
-        options.n_threads = n_threads;
-        options.stats = &stats;
-        const FeasibilityReport got = verify_schedule(sched, model, options);
-        EXPECT_EQ(got, reference)
-            << "seed round " << i << " soa=" << config.soa
-            << " bitset=" << config.bitset << " arena=" << config.arena
-            << " threads=" << n_threads;
-        EXPECT_EQ(stats.embedding_queries + stats.memo_hits, stats.work_units);
-      }
+    const FeasibilityReport reference = reference_verify(sched, model);
+    for (const std::size_t n_threads : {1, 2}) {
+      VerifyStats stats;
+      VerifyOptions options;
+      options.n_threads = n_threads;
+      options.stats = &stats;
+      EXPECT_EQ(verify_schedule(sched, model, options), reference)
+          << "seed round " << i << " threads=" << n_threads;
+      EXPECT_EQ(stats.embedding_queries + stats.memo_hits, stats.work_units);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// 64-seed PR 7 corpus slice: flat vs indexed, reports + witnesses +
-// fingerprints.
+// 64-seed corpus slice: flat reference vs engine, reports + witnesses +
+// fingerprints, plus a pin of the serial engine's counters.
 
 TEST(HotPathCorpus, CorpusSliceIsBitIdenticalToFlatReference) {
   std::size_t verified = 0;
   std::uint64_t flat_fp = 1469598103934665603ull;     // fnv offset basis
   std::uint64_t indexed_fp = 1469598103934665603ull;  // (chained per scenario)
+  std::uint64_t stats_fp = 1469598103934665603ull;
   for (std::uint64_t index = 0; index < 64; ++index) {
     const gen::Scenario scenario = gen::generate(gen::corpus_options(index));
     const HeuristicResult built = latency_schedule(scenario.model);
@@ -198,10 +173,11 @@ TEST(HotPathCorpus, CorpusSliceIsBitIdenticalToFlatReference) {
     const GraphModel& model = built.scheduled_model;
     const StaticSchedule& sched = *built.schedule;
 
-    VerifyOptions flat_options;
-    flat_options.flat_reference = true;
-    const FeasibilityReport flat = verify_schedule(sched, model, flat_options);
+    const FeasibilityReport flat = reference_verify(sched, model);
     const FeasibilityReport indexed = verify_schedule(sched, model);
+    VerifyStats serial;
+    const VerifyOptions serial_options{.n_threads = 1, .stats = &serial};
+    EXPECT_EQ(verify_schedule(sched, model, serial_options), flat);
     ASSERT_EQ(indexed, flat) << "corpus index " << index << " (" << scenario.name
                              << ")";
 
@@ -210,6 +186,7 @@ TEST(HotPathCorpus, CorpusSliceIsBitIdenticalToFlatReference) {
     const std::string tag = std::to_string(scenario.fingerprint);
     flat_fp = gen::fnv1a(tag + report_text(flat) + std::to_string(flat_fp));
     indexed_fp = gen::fnv1a(tag + report_text(indexed) + std::to_string(indexed_fp));
+    stats_fp = gen::fnv1a(tag + stats_text(serial) + std::to_string(stats_fp));
 
     // Witness pin over the first periods of every constraint.
     const std::size_t periods = 4;
@@ -232,13 +209,17 @@ TEST(HotPathCorpus, CorpusSliceIsBitIdenticalToFlatReference) {
     ++verified;
   }
   EXPECT_EQ(flat_fp, indexed_fp);
+  // Serial-path work counters over the slice (work units, queries, memo
+  // hits, seeks, row-gate skips, warm-kernel queries): any change to how
+  // much work the engine does moves this value.
+  EXPECT_EQ(stats_fp, 0x5b968d2e431a4b12ull);
   EXPECT_GT(verified, 32u) << "corpus slice mostly unschedulable — vacuous run";
 }
 
 // ---------------------------------------------------------------------------
-// UnrollIndex bitset property: row answers == brute force.
+// UnrollIndex row property: row answers == brute force.
 
-TEST(UnrollIndexBitset, RowAnswersMatchBruteForce) {
+TEST(UnrollIndexRows, RowAnswersMatchBruteForce) {
   sim::Rng rng(0xB175E7);
   for (int round = 0; round < 60; ++round) {
     const GraphModel model = random_model(rng);
@@ -249,9 +230,6 @@ TEST(UnrollIndexBitset, RowAnswersMatchBruteForce) {
     const std::vector<ScheduledOp> ops = unroll_ops(sched, periods);
     ASSERT_EQ(index.size(), ops.size());
     const auto n_elems = static_cast<ElementId>(model.comm().size());
-    // occupied_in models the *infinite* cyclic extension; 8 periods
-    // cover every window probed below (b <= 4 * length + 1).
-    const std::vector<ScheduledOp> extended = unroll_ops(sched, 8);
 
     for (ElementId e = 0; e < n_elems; ++e) {
       // first_at_or_after == first matching op in the materialized view,
@@ -269,24 +247,10 @@ TEST(UnrollIndexBitset, RowAnswersMatchBruteForce) {
         const std::size_t got = index.first_at_or_after(e, t, ops.size(), &skips);
         EXPECT_EQ(got, want) << "e=" << e << " t=" << t << " round " << round;
       }
-
-      for (Time a = 0; a < 3 * sched.length(); ++a) {
-        for (Time b = a; b < a + sched.length() + 2; ++b) {
-          bool want = false;
-          for (const ScheduledOp& op : extended) {
-            if (op.elem == e && op.start >= a && op.start < b) {
-              want = true;
-              break;
-            }
-          }
-          EXPECT_EQ(index.occupied_in(e, a, b), want)
-              << "e=" << e << " [" << a << "," << b << ") round " << round;
-        }
-      }
     }
 
     // next_occurrence chains enumerate exactly the element's op
-    // subsequence (the same-word mask fast path included).
+    // subsequence.
     for (std::size_t i = 0; i < ops.size(); ++i) {
       std::size_t want = UnrollIndex::npos;
       for (std::size_t j = i + 1; j < ops.size(); ++j) {
@@ -300,7 +264,7 @@ TEST(UnrollIndexBitset, RowAnswersMatchBruteForce) {
   }
 }
 
-TEST(UnrollIndexBitset, GateSkipsAreCountedAndExact) {
+TEST(UnrollIndexRows, GateSkipsAreCountedAndExact) {
   // One element occurring twice mid-period: windows at/before the first
   // start and past the last start must resolve via the row gates (and
   // count a skip), interior windows via the binary search (no skip).
@@ -375,11 +339,10 @@ TEST(HotPathCounters, BnbCountersPinAcrossThreadCounts) {
       EXPECT_EQ(stats.bitset_skips, serial.bitset_skips) << "threads " << n_threads;
       EXPECT_EQ(stats.index_seeks, serial.index_seeks) << "threads " << n_threads;
       EXPECT_EQ(stats.embedding_queries, serial.embedding_queries);
-      EXPECT_GT(stats.arena_bytes_peak, 0u);
     }
     ++pinned;
   }
-  EXPECT_GT(pinned, 5) << "too few rounds produced bitset activity";
+  EXPECT_GT(pinned, 5) << "too few rounds produced row-gate activity";
 }
 
 // ---------------------------------------------------------------------------

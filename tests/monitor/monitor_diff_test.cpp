@@ -2,7 +2,7 @@
 // correctness contract): on any finite trace the online verdicts must
 // be bit-identical to naive offline per-window verification
 // (reference_check), and monitoring a schedule's own round-robin trace
-// must agree with verify_schedule's flat reference verdict per
+// must agree with the flat-scan reference_verify verdict per
 // constraint. Traces cover seeded random models, injected overruns,
 // randomly dropped slots, and the multi-threaded capture path.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "core/fault.hpp"
 #include "core/latency.hpp"
 #include "core/model.hpp"
+#include "core/reference_verify.hpp"
 #include "core/runtime.hpp"
 #include "core/static_schedule.hpp"
 #include "graph/generators.hpp"
@@ -210,7 +211,7 @@ TEST_P(MonitorDiff, AgreesWithVerifyScheduleOnCyclicTraces) {
   expect_monitor_matches_reference(trace, model, "cyclic trace");
 
   const core::FeasibilityReport offline =
-      core::verify_schedule(sched, model, core::VerifyOptions{.flat_reference = true});
+      core::reference_verify(sched, model);
   for (std::size_t i = 0; i < model.constraint_count(); ++i) {
     EXPECT_EQ(offline.verdicts[i].satisfied, report.violated_starts(i).empty())
         << "constraint " << i << " of seed " << GetParam();
