@@ -74,8 +74,10 @@ struct ExactOptions {
   /// thread, workers expand disjoint subtrees seeded from a shared
   /// frontier of short game prefixes, share a lock-striped
   /// visited-state set, and charge unique state expansions against the
-  /// same state_budget. The FeasibilityStatus is the same as the
-  /// serial search's (both are sound and complete); the witness
+  /// same state_budget. Whenever neither search exhausts state_budget,
+  /// the FeasibilityStatus is the same as the serial search's (both are
+  /// sound and complete); with a binding budget the parallel search may
+  /// return kUnknown where the serial search decides. The witness
   /// schedule may be a different feasible cycle, and states_explored
   /// counts unique expansions across all workers.
   std::size_t n_threads = 0;

@@ -2,6 +2,10 @@
 // control system and the hardness gadgets. All algorithms involved are
 // deterministic (fixed seeds, deterministic tie-breaks), so any change
 // to these values is a behavioural change that should be deliberate.
+// Exact-game state counts are pinned at ExactOptions::n_threads = 1:
+// the default (0) resolves to hardware concurrency, and the parallel
+// search's states_explored is not reproducible (docs/API.md,
+// "Determinism guarantees").
 #include <gtest/gtest.h>
 
 #include "core/bounds.hpp"
@@ -53,8 +57,11 @@ TEST(Golden, ControlSystemProcessSynthesis) {
 }
 
 TEST(Golden, ExactGameBoundaryInstance) {
-  // Three unit constraints at deadline 3: the LRU-guided game closes a
-  // cycle after exactly 6 states.
+  // Three unit constraints at deadline 3. The pin of 6 states is for
+  // the serial search (n_threads = 1), the only one whose count is
+  // reproducible: root [P,P,P], then LRU order emits e0 e1 e2 e0 e1
+  // to reach [P,P,0] [P,0,1] [0,1,2] [1,2,0] [2,0,1], and e2 returns
+  // to the grey [0,1,2], closing the cycle e0 e1 e2 after 6 states.
   core::CommGraph comm;
   for (int i = 0; i < 3; ++i) {
     comm.add_element("e" + std::to_string(i), 1, false);
@@ -67,11 +74,24 @@ TEST(Golden, ExactGameBoundaryInstance) {
         "c" + std::to_string(e), std::move(tg), 1, 3,
         core::ConstraintKind::kAsynchronous});
   }
-  const core::ExactResult r = core::exact_feasible(model);
+  core::ExactOptions serial;
+  serial.n_threads = 1;
+  const core::ExactResult r = core::exact_feasible(model, serial);
   ASSERT_EQ(r.status, core::FeasibilityStatus::kFeasible);
   EXPECT_EQ(r.states_explored, 6u);
   EXPECT_EQ(r.schedule->length(), 3);
   EXPECT_EQ(r.schedule->busy(), 3);
+
+  // Default options (parallel on a multicore host): the state count may
+  // vary, but every cycle of this game has 3 busy slots. Each 3-slot
+  // window holds e0, e1 and e2, so x[i+3] = x[i] and an all-element
+  // state has one valid successor; pre-start states never recur.
+  const core::ExactResult d = core::exact_feasible(model);
+  ASSERT_EQ(d.status, core::FeasibilityStatus::kFeasible);
+  ASSERT_TRUE(d.schedule.has_value());
+  EXPECT_EQ(d.schedule->length(), 3);
+  EXPECT_EQ(d.schedule->busy(), 3);
+  EXPECT_TRUE(core::verify_schedule(*d.schedule, model).feasible);
 }
 
 TEST(Golden, ThreePartitionGadgetShape) {
