@@ -134,14 +134,22 @@ struct GameContext {
     }
   }
 
-  // State key: the window contents plus the periodic clock phase.
+  // State key: the window contents plus the periodic clock phase, each
+  // slot as a LEB128 varint of slot + 2 (the idle/pre-start sentinels
+  // wrap to 1 and 0, so elements below 64 take at most two bytes). The
+  // window has a fixed D slots and every code is self-delimiting, so
+  // the key is injective; keys are only compared for equality.
   [[nodiscard]] std::string key() const {
     std::string k;
-    k.reserve((window.size() + 1) * sizeof(std::uint32_t));
+    k.reserve(2 * window.size() + 5);
     auto put = [&k](std::uint32_t v) {
-      k.append(reinterpret_cast<const char*>(&v), sizeof(v));
+      while (v >= 0x80) {
+        k.push_back(static_cast<char>((v & 0x7F) | 0x80));
+        v >>= 7;
+      }
+      k.push_back(static_cast<char>(v));
     };
-    for (std::uint32_t s : window) put(s);
+    for (std::uint32_t s : window) put(s + 2);
     put(static_cast<std::uint32_t>(clock % periodic_lcm));
     return k;
   }

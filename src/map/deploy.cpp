@@ -214,7 +214,6 @@ Deployment deploy_assignment(const core::GraphModel& model, const Platform& plat
     bool cancelled = false;
     SeamOptions seam;
     seam.n_threads = options.seam_threads;
-    seam.flat_reference = options.flat_reference;
     seam.witness = &witness;
     seam.stats = &out.seam_stats;
     seam.cancel = options.local.cancel;

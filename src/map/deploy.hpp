@@ -56,8 +56,6 @@ struct DeployOptions {
   /// Worker threads for the seam check's window fan-out (bit-identical
   /// at every count).
   std::size_t seam_threads = 1;
-  /// Run the seam check on the flat (linear-scan) reference path.
-  bool flat_reference = false;
   /// Re-validate every worst-window GlobalWitness with check_witness.
   bool check_witnesses = true;
   /// When non-null, used instead of make_mapper(mapper, seed).

@@ -5,8 +5,9 @@
 // with the matching legacy greedy policy; core::multiproc_latency is
 // map::distributed_latency against a hand-built single-link TDMA table
 // whose slot k carries bus_channels[k] for one slot — the arrival
-// arithmetic, candidate-window enumeration, and greedy completion then
-// reduce to exactly the deleted legacy code, so the seed pins
+// arithmetic and greedy completion then reduce to exactly the deleted
+// legacy code, and the seam check's root-release windows attain the
+// same maximum as the legacy every-tick enumeration, so the seed pins
 // (tests/core/multiproc_test) hold bit-for-bit.
 #include "core/multiproc.hpp"
 

@@ -1,7 +1,6 @@
 #include "map/verify.hpp"
 
 #include <algorithm>
-#include <set>
 #include <thread>
 
 #include "core/latency.hpp"
@@ -19,16 +18,11 @@ using core::UnrollIndex;
 // Everything one completion query needs, shared read-only by workers.
 struct SeamWorld {
   const TaskGraph* tg = nullptr;
-  const std::vector<StaticSchedule>* schedules = nullptr;
   const std::vector<ProcId>* assignment = nullptr;
   const CommSchedule* comm = nullptr;
   std::vector<core::OpId> topo;
-
-  // Indexed path: one UnrollIndex per non-empty processor schedule.
+  // One UnrollIndex per non-empty processor schedule.
   std::vector<UnrollIndex> index;
-  // Flat path: materialized unrolled ops per processor.
-  std::vector<std::vector<ScheduledOp>> flat;
-  bool use_flat = false;
 };
 
 // Greedy distributed completion of the task graph within the window
@@ -68,14 +62,7 @@ std::optional<Time> completion(const SeamWorld& world, Time t, std::size_t* seek
     }
     // First execution of ev on processor pv starting at or after ready.
     std::optional<ScheduledOp> placed;
-    if (world.use_flat) {
-      for (const ScheduledOp& op : world.flat[pv]) {
-        if (op.elem == ev && op.start >= ready) {
-          placed = op;
-          break;
-        }
-      }
-    } else if (world.index[pv].size() > 0) {
+    if (world.index[pv].size() > 0) {
       if (seeks) ++*seeks;
       const std::size_t idx =
           world.index[pv].first_at_or_after(ev, ready, world.index[pv].size());
@@ -154,57 +141,54 @@ std::optional<Time> distributed_latency(const TaskGraph& tg,
 
   SeamWorld world;
   world.tg = &tg;
-  world.schedules = &schedules;
   world.assignment = &assignment;
   world.comm = &comm;
   world.topo = tg.topological_ops();
-  world.use_flat = options.flat_reference;
-  if (world.use_flat) {
-    world.flat.resize(schedules.size());
-  } else {
-    world.index.resize(schedules.size());
-  }
+  world.index.resize(schedules.size());
   for (std::size_t p = 0; p < schedules.size(); ++p) {
     if (schedules[p].length() == 0) continue;
     const std::size_t reps =
         static_cast<std::size_t>(horizon / schedules[p].length()) + 1;
-    if (world.use_flat) {
-      world.flat[p] = core::unroll_ops(schedules[p], reps);
-    } else {
-      world.index[p] = UnrollIndex(schedules[p], reps);
-    }
+    world.index[p] = UnrollIndex(schedules[p], reps);
   }
 
-  // Candidate window starts: 0, every op boundary + 1, and every instant
-  // inside a link's occupied slot region (one past each busy tick —
-  // with fully-packed tables this is every tick, matching the legacy
-  // TDMA enumeration exactly).
-  std::set<Time> candidate_set{0};
+  // Candidate window starts: 0 and one past every start, on its
+  // assigned processor, of an element labelling a root op. A non-root
+  // op's ready time is at least its predecessors' finishes, which are
+  // already >= t, so only the roots' "first start >= t" depends on the
+  // window directly: the makespan is a step function of t that changes
+  // only at those points, and latency = makespan - t is largest at the
+  // left end of each step (docs/MAPPING.md has the proof). Each
+  // processor's run is ascending (rep outer, op inner); runs are merged.
+  std::vector<bool> root_elem;
+  for (core::OpId v = 0; v < tg.size(); ++v) {
+    if (!tg.skeleton().predecessors(v).empty()) continue;
+    const ElementId e = tg.label(v);
+    if (e >= root_elem.size()) root_elem.resize(e + 1, false);
+    root_elem[e] = true;
+  }
+  std::vector<Time> candidates{0};
   for (std::size_t p = 0; p < schedules.size(); ++p) {
-    if (schedules[p].length() == 0) continue;
-    const Time reps_in_cycle = cycle / schedules[p].length();
-    for (Time r = 0; r < reps_in_cycle; ++r) {
-      for (const ScheduledOp& op : schedules[p].ops()) {
-        const Time s = r * schedules[p].length() + op.start + 1;
-        if (s < cycle) candidate_set.insert(s);
+    const Time len = schedules[p].length();
+    if (len == 0) continue;
+    std::vector<Time> offsets;
+    for (const ScheduledOp& op : schedules[p].ops()) {
+      if (op.elem < root_elem.size() && root_elem[op.elem] && assignment.at(op.elem) == p) {
+        offsets.push_back(op.start + 1);
       }
     }
+    if (offsets.empty()) continue;
+    const std::size_t merged = candidates.size();
+    for (Time base = 0; base < cycle; base += len) {
+      for (const Time o : offsets) {
+        if (base + o < cycle) candidates.push_back(base + o);
+      }
+    }
+    std::inplace_merge(candidates.begin(),
+                       candidates.begin() + static_cast<std::ptrdiff_t>(merged),
+                       candidates.end());
   }
-  for (const LinkSchedule& table : comm.links) {
-    if (table.slots.empty()) continue;
-    std::vector<bool> occupied(static_cast<std::size_t>(table.cycle), false);
-    for (const SlotAssignment& slot : table.slots) {
-      for (Time d = 0; d < slot.duration; ++d) {
-        occupied[static_cast<std::size_t>(slot.offset + d)] = true;
-      }
-    }
-    for (Time s = 1; s < cycle; ++s) {
-      if (occupied[static_cast<std::size_t>((s - 1) % table.cycle)]) {
-        candidate_set.insert(s);
-      }
-    }
-  }
-  const std::vector<Time> candidates(candidate_set.begin(), candidate_set.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
 
   const std::size_t threads =
       std::min(std::max<std::size_t>(options.n_threads, 1), candidates.size());

@@ -16,13 +16,15 @@
 //      consumer starts. This is the seam check: it proves the local
 //      schedules *compose*, not just that each one works in isolation.
 //
-// The indexed fast path resolves "first execution of e at or after t"
-// probes through per-processor core::UnrollIndex rows; the
-// `flat_reference` path recomputes everything with independent linear
-// scans over materialized unrolled ops — the repo's differential
-// convention — and the two are bit-identical, as is the result at any
-// thread count (per-window results are pure; the reduction is max with
-// any-failure short-circuit).
+// "First execution of e at or after t" probes resolve through
+// per-processor core::UnrollIndex rows. Only the window starts where
+// the greedy completion can change are tried: 0 and one past every
+// start of a root op's element on its assigned processor (the
+// root-release rule, proved in docs/MAPPING.md). The result is the same
+// at any thread count (per-window results are pure; the reduction is
+// max with any-failure short-circuit). The test suites keep a
+// monolithic linear-scan reference over a broader window set
+// (tests/map/seam_reference.hpp) as an independent oracle.
 //
 // A successful seam check can emit a GlobalWitness — concrete
 // (processor, start, finish) rows per task-graph op plus (send, arrive)
@@ -76,7 +78,7 @@ struct GlobalWitness {
 
 struct SeamStats {
   std::size_t windows = 0;      ///< candidate windows examined
-  std::size_t index_seeks = 0;  ///< UnrollIndex probes (indexed path)
+  std::size_t index_seeks = 0;  ///< UnrollIndex probes
   std::size_t threads_used = 1;
 
   SeamStats& operator+=(const SeamStats& other) {
@@ -91,9 +93,6 @@ struct SeamOptions {
   /// Worker threads for the candidate-window fan-out. 0 or 1 = serial;
   /// results are bit-identical at every count.
   std::size_t n_threads = 1;
-  /// Recompute with independent linear scans (no UnrollIndex); the
-  /// monolithic reference for the differential suite.
-  bool flat_reference = false;
   /// When non-null, receives the witness of the worst window (the
   /// smallest window start among those attaining the latency). Only
   /// written when the latency is finite.

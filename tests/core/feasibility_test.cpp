@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/pipeline.hpp"
+#include "gen/generator.hpp"
 #include "sim/rng.hpp"
+#include "spec/compile.hpp"
 
 namespace rtg::core {
 namespace {
@@ -260,6 +265,38 @@ TEST(ExactFeasible, ScheduleStructureIsCyclicallyValid) {
     }
   }
   EXPECT_TRUE(verify_schedule(doubled, model).feasible);
+}
+
+// Pins the serial search (n_threads = 1) over the 64 mapped-corpus specs
+// at two state budgets: a chained FNV over every status,
+// states_explored and witness schedule entry. The value was computed
+// before the game's state keys were re-encoded; keys are only compared
+// for equality, so the search order — and hence every field here —
+// must not move with the encoding.
+TEST(ExactFeasible, MappedCorpusSerialSearchIsPinned) {
+  std::uint64_t fp = 1469598103934665603ull;  // fnv offset basis
+  for (std::size_t index = 0; index < 64; ++index) {
+    const spec::CompileResult compiled =
+        spec::compile_text(gen::generate(gen::mapped_corpus_options(index)).spec);
+    ASSERT_TRUE(compiled.ok()) << "mapped spec " << index;
+    const GraphModel pipelined = pipeline_model(*compiled.model).model;
+    for (const std::size_t budget : {20'000u, 200'000u}) {
+      ExactOptions options;
+      options.state_budget = budget;
+      options.n_threads = 1;
+      const ExactResult r = exact_feasible(pipelined, options);
+      std::string row = std::to_string(index) + "/" + std::to_string(budget) + ":" +
+                        std::to_string(static_cast<int>(r.status)) + ":" +
+                        std::to_string(r.states_explored) + ":";
+      if (r.schedule) {
+        for (const ScheduleEntry& entry : r.schedule->entries()) {
+          row += std::to_string(entry.elem) + "x" + std::to_string(entry.duration) + ",";
+        }
+      }
+      fp = gen::fnv1a(row + std::to_string(fp));
+    }
+  }
+  EXPECT_EQ(fp, 0xd415df2b35a445f6ull);
 }
 
 }  // namespace
